@@ -26,7 +26,9 @@ bench:
 # scan-throughput benchmark and fails when the speedup ratio regresses more
 # than 10% against the committed BENCH_suite.json baseline, or drops below
 # the 2x floor. The ratio (not absolute throughput) is what gets compared,
-# so the gate is meaningful across machines. It then times the same scan
+# so the gate is meaningful across machines. The SECDED encoder gets the
+# same treatment: the reference-vs-table encode ratio must stay within 10%
+# of the baseline's ecc_encode section and above 3x. It then times the same scan
 # passes with the merge-lifecycle ledger attached — a fresh absolute
 # on-vs-off comparison, no baseline involved — and fails when provenance
 # costs more than the tolerance.
@@ -52,13 +54,15 @@ smoke:
 		| jq -e '.experiments.stream.Rows | all(.Identical) and length > 0' > /dev/null
 	@echo smoke OK
 
-# fuzz gives the ECC decoder, page-key, and snapshot-codec contracts a short
-# native-fuzzing budget per target (raise FUZZTIME for a real campaign). Any
-# ≤2-bit corruption must be corrected or detected, never silently
-# miscorrected; any mutated snapshot envelope must be rejected with a typed
+# fuzz gives the ECC decoder, encoder, page-key, and snapshot-codec contracts
+# a short native-fuzzing budget per target (raise FUZZTIME for a real
+# campaign). Any ≤2-bit corruption must be corrected or detected, never
+# silently miscorrected; the table-driven encoder must match the bitwise
+# reference on every word; any mutated snapshot envelope must be rejected with a typed
 # error, never decoded into garbage or a panic.
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecode$$' -fuzztime=$(FUZZTIME) ./internal/ecc/
+	$(GO) test -run='^$$' -fuzz='^FuzzEncode$$' -fuzztime=$(FUZZTIME) ./internal/ecc/
 	$(GO) test -run='^$$' -fuzz='^FuzzPageKey$$' -fuzztime=$(FUZZTIME) ./internal/ecc/
 	$(GO) test -run='^$$' -fuzz='^FuzzSnapshotDecode$$' -fuzztime=$(FUZZTIME) ./internal/snapshot/
 

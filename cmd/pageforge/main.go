@@ -851,6 +851,15 @@ func bench(args []string) {
 		os.Exit(1)
 	}
 
+	// SECDED encoder benchmark: the bitwise reference encoder versus the
+	// table-driven one on the same words. Like the scanpass speedup, the
+	// ratio is machine-portable and perfcheck gates on it.
+	eccEncode, err := experiments.RunECCEncodeBench()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "error:", err)
+		os.Exit(1)
+	}
+
 	// Crash-recovery benchmark: wall-clock cost of one audited
 	// checkpoint-crash-restore-replay point, including its bit-identity
 	// cross-check against the uninterrupted run.
@@ -884,6 +893,7 @@ func bench(args []string) {
 		Parallelism int                           `json:"parallelism"`
 		ElapsedSecs float64                       `json:"elapsed_seconds"`
 		ScanPass    experiments.ScanPassResult    `json:"scanpass"`
+		ECCEncode   experiments.ECCEncodeResult   `json:"ecc_encode"`
 		CrashRec    experiments.CrashBenchResult  `json:"crash_recovery"`
 		Stream      experiments.StreamBenchResult `json:"stream"`
 		Runs        []experiments.RunRecord       `json:"runs"`
@@ -896,6 +906,7 @@ func bench(args []string) {
 		Parallelism: *parallel,
 		ElapsedSecs: elapsed.Seconds(),
 		ScanPass:    scanpass,
+		ECCEncode:   eccEncode,
 		CrashRec:    crashRec,
 		Stream:      streamRec,
 		Runs:        progress.Records(),
@@ -919,15 +930,16 @@ func bench(args []string) {
 		fmt.Fprintln(os.Stderr, "error:", err)
 		os.Exit(1)
 	}
-	fmt.Fprintf(os.Stderr, "bench: %d runs in %.2fs, scanpass speedup %.2fx -> %s\n",
-		len(artifact.Runs), elapsed.Seconds(), scanpass.Speedup, *out)
+	fmt.Fprintf(os.Stderr, "bench: %d runs in %.2fs, scanpass speedup %.2fx, ecc_encode speedup %.2fx -> %s\n",
+		len(artifact.Runs), elapsed.Seconds(), scanpass.Speedup, eccEncode.Speedup, *out)
 }
 
-// perfcheck re-runs the scan-throughput benchmark and gates on regression
-// against the committed baseline artifact. Absolute throughput is machine
-// dependent, so the gate compares the legacy-vs-optimized speedup RATIO:
-// it must stay within the tolerance band of the baseline's ratio and never
-// drop below the 2x floor the optimization work committed to.
+// perfcheck re-runs the scan-throughput and SECDED encoder benchmarks and
+// gates on regression against the committed baseline artifact. Absolute
+// throughput is machine dependent, so each gate compares a speedup RATIO
+// (legacy vs optimized scan, reference vs table encoder): it must stay
+// within the tolerance band of the baseline's ratio and never drop below
+// the floor the optimization work committed to (2x scan, 3x encode).
 func perfcheck(args []string) {
 	fs := flag.NewFlagSet("perfcheck", flag.ExitOnError)
 	baselinePath := fs.String("baseline", "BENCH_suite.json", "committed benchmark artifact")
@@ -940,7 +952,8 @@ func perfcheck(args []string) {
 		os.Exit(1)
 	}
 	var baseline struct {
-		ScanPass experiments.ScanPassResult `json:"scanpass"`
+		ScanPass  experiments.ScanPassResult  `json:"scanpass"`
+		ECCEncode experiments.ECCEncodeResult `json:"ecc_encode"`
 	}
 	if err := json.Unmarshal(raw, &baseline); err != nil {
 		fmt.Fprintln(os.Stderr, "perfcheck:", err)
@@ -948,6 +961,10 @@ func perfcheck(args []string) {
 	}
 	if baseline.ScanPass.Speedup == 0 {
 		fmt.Fprintf(os.Stderr, "perfcheck: %s has no scanpass section — regenerate it with `pageforge bench`\n", *baselinePath)
+		os.Exit(1)
+	}
+	if baseline.ECCEncode.Speedup == 0 {
+		fmt.Fprintf(os.Stderr, "perfcheck: %s has no ecc_encode section — regenerate it with `pageforge bench`\n", *baselinePath)
 		os.Exit(1)
 	}
 
@@ -966,6 +983,25 @@ func perfcheck(args []string) {
 	}
 	if cur.Speedup < 2 {
 		fmt.Fprintln(os.Stderr, "perfcheck: FAIL — speedup below the committed 2x floor")
+		os.Exit(1)
+	}
+
+	// Encoder gate: the table-driven SECDED encoder on the engine data path
+	// against the bitwise reference it is built from, same words, same run.
+	enc, err := experiments.RunECCEncodeBench()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "perfcheck:", err)
+		os.Exit(1)
+	}
+	encFloor := baseline.ECCEncode.Speedup * (1 - *tol)
+	fmt.Fprintf(os.Stderr, "perfcheck: ecc_encode speedup %.2fx (baseline %.2fx, floor %.2fx; reference %.2f table %.2f ns/word)\n",
+		enc.Speedup, baseline.ECCEncode.Speedup, encFloor, enc.RefNsPerWord, enc.TableNsPerWord)
+	if enc.Speedup < encFloor {
+		fmt.Fprintf(os.Stderr, "perfcheck: FAIL — ecc_encode speedup regressed more than %.0f%% vs baseline\n", *tol*100)
+		os.Exit(1)
+	}
+	if enc.Speedup < 3 {
+		fmt.Fprintln(os.Stderr, "perfcheck: FAIL — ecc_encode speedup below the committed 3x floor")
 		os.Exit(1)
 	}
 

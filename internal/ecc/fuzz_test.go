@@ -54,6 +54,29 @@ func FuzzDecode(f *testing.F) {
 	})
 }
 
+// FuzzEncode differentially tests the table-driven Encode against the
+// bitwise reference encoder, and EncodeLine against per-word EncodeRef.
+func FuzzEncode(f *testing.F) {
+	f.Add(uint64(0))
+	f.Add(^uint64(0))
+	f.Add(uint64(0xDEADBEEFCAFEF00D))
+	f.Fuzz(func(t *testing.T, data uint64) {
+		if got, want := Encode(data), EncodeRef(data); got != want {
+			t.Fatalf("Encode(%#x) = %#x, reference %#x", data, got, want)
+		}
+		line := make([]byte, LineSize)
+		for w := 0; w < WordsPerLine; w++ {
+			binary.LittleEndian.PutUint64(line[w*8:], data*uint64(2*w+1))
+		}
+		code := EncodeLine(line)
+		for w := 0; w < WordsPerLine; w++ {
+			if want := EncodeRef(data * uint64(2*w+1)); code[w] != want {
+				t.Fatalf("EncodeLine word %d = %#x, reference %#x", w, code[w], want)
+			}
+		}
+	})
+}
+
 // FuzzPageKey checks the hash-key contract over arbitrary page contents:
 // the software-reference PageKey, the incremental KeyAssembler fed encoded
 // line codes (in reverse order, as hardware may observe them), and the

@@ -29,8 +29,8 @@ var (
 	dataPos [64]int
 	posData [codewordBits + 1]int
 	// checkMask[c] has bit i set when data bit i participates in check bit c.
-	// Precomputing the masks makes Encode seven 64-bit AND+popcount-parity
-	// operations, mirroring the XOR-tree a hardware encoder would use.
+	// Precomputing the masks makes EncodeRef seven 64-bit AND+parity
+	// operations.
 	checkMask [checkBits]uint64
 )
 
@@ -57,6 +57,11 @@ func init() {
 			}
 		}
 	}
+	for i := range encTable {
+		for b := range encTable[i] {
+			encTable[i][b] = EncodeRef(uint64(b) << (8 * i))
+		}
+	}
 }
 
 // parity64 reports the XOR-fold (parity) of all bits in v.
@@ -79,13 +84,32 @@ func hammingChecks(data uint64) uint8 {
 	return code
 }
 
-// Encode computes the 8-bit SECDED code for a 64-bit data word. Bits 0..6
-// are the Hamming check bits p1,p2,p4,...,p64; bit 7 is the overall parity
-// of the 71-bit codeword (data bits plus check bits).
-func Encode(data uint64) uint8 {
+// EncodeRef computes the 8-bit SECDED code for a 64-bit data word bit by
+// bit: seven masked parities for the Hamming check bits p1,p2,p4,...,p64
+// (bits 0..6) and the overall parity of the 71-bit codeword (bit 7). It is
+// the construction the code is defined by, the source the Encode table is
+// built from, and the oracle Encode is tested against.
+func EncodeRef(data uint64) uint8 {
 	code := hammingChecks(data)
 	overall := parity64(data) ^ parity64(uint64(code))
 	return code | uint8(overall)<<7
+}
+
+// encTable[i][b] is the code of the word whose byte lane i holds b and whose
+// other lanes are zero. The code is linear over GF(2) — every check bit and
+// the overall parity are XORs of data bits — so a word's code is the XOR of
+// its eight lanes' entries.
+var encTable [8][256]uint8
+
+// Encode computes the 8-bit SECDED code for a 64-bit data word, bit-identical
+// to EncodeRef: bits 0..6 are the Hamming check bits, bit 7 the overall
+// parity. It XORs eight per-byte table lookups, the software analogue of
+// the encoder's XOR tree.
+func Encode(data uint64) uint8 {
+	return encTable[0][uint8(data)] ^ encTable[1][uint8(data>>8)] ^
+		encTable[2][uint8(data>>16)] ^ encTable[3][uint8(data>>24)] ^
+		encTable[4][uint8(data>>32)] ^ encTable[5][uint8(data>>40)] ^
+		encTable[6][uint8(data>>48)] ^ encTable[7][uint8(data>>56)]
 }
 
 // Status classifies the outcome of decoding a (data, code) pair.
@@ -129,7 +153,7 @@ func (s Status) String() string {
 // that any single flipped bit (data, check, or parity) shows up as exactly
 // one parity violation.
 func Decode(data uint64, stored uint8) (uint64, Status) {
-	recomputed := hammingChecks(data)
+	recomputed := Encode(data) & 0x7F // the Hamming check bits
 	syndrome := (recomputed ^ stored) & 0x7F
 	received := parity64(data) ^ parity64(uint64(stored)) // parity of data + 7 check bits + parity bit
 	parityMismatch := received != 0

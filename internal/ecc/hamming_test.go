@@ -3,6 +3,8 @@ package ecc
 import (
 	"testing"
 	"testing/quick"
+
+	"repro/internal/sim"
 )
 
 func TestDecodeCleanWord(t *testing.T) {
@@ -144,5 +146,33 @@ func TestParity64(t *testing.T) {
 		if got := parity64(in); got != want {
 			t.Errorf("parity64(%#x) = %d, want %d", in, got, want)
 		}
+	}
+}
+
+// TestEncodeMatchesReference holds the table-driven Encode to the bitwise
+// EncodeRef it is built from: on every byte lane and value (the table's
+// own entries), on every single-bit word, on the DecodeLine test words,
+// and on a million seeded random words.
+func TestEncodeMatchesReference(t *testing.T) {
+	check := func(d uint64) {
+		t.Helper()
+		if got, want := Encode(d), EncodeRef(d); got != want {
+			t.Fatalf("Encode(%#x) = %#x, reference %#x", d, got, want)
+		}
+	}
+	for lane := 0; lane < 8; lane++ {
+		for b := 0; b < 256; b++ {
+			check(uint64(b) << (8 * lane))
+		}
+	}
+	for i := uint(0); i < 64; i++ {
+		check(1 << i)
+	}
+	for _, d := range []uint64{0, ^uint64(0), 0xA5A5A5A5A5A5A5A5, 0x0123456789ABCDEF} {
+		check(d)
+	}
+	r := sim.NewRNG(0xECC)
+	for i := 0; i < 1_000_000; i++ {
+		check(r.Uint64())
 	}
 }

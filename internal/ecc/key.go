@@ -79,13 +79,22 @@ func NewKeyAssembler(offsets KeyOffsets) *KeyAssembler {
 	return &KeyAssembler{offsets: offsets}
 }
 
+// Wants reports whether the page line with index lineIdx (0..63) is a
+// sampled line whose minikey is still missing, i.e. whether observing its
+// code would change the key. Callers use it to skip encoding lines the
+// key never consumes.
+func (a *KeyAssembler) Wants(lineIdx int) bool {
+	s := lineIdx / LinesPerSection
+	return s >= 0 && s < Sections && a.offsets.LineIndex(s) == lineIdx && !a.have[s]
+}
+
 // Observe records the ECC code of the page line with index lineIdx (0..63).
 // It returns true if the observation completed the key.
 func (a *KeyAssembler) Observe(lineIdx int, code LineCode) bool {
-	s := lineIdx / LinesPerSection
-	if s < 0 || s >= Sections || a.offsets.LineIndex(s) != lineIdx || a.have[s] {
+	if !a.Wants(lineIdx) {
 		return a.Ready()
 	}
+	s := lineIdx / LinesPerSection
 	a.key |= uint32(code.Minikey()) << (8 * s)
 	a.have[s] = true
 	return a.Ready()

@@ -37,23 +37,30 @@ func EncodeLine(line []byte) LineCode {
 }
 
 // DecodeLine verifies a line against its stored code, correcting single-bit
-// errors in place (on a copy) and reporting the worst status across words.
+// data errors and reporting the worst status across words. The input is
+// never modified: the result is line itself when no data word needed
+// correcting, otherwise a corrected copy.
 func DecodeLine(line []byte, stored LineCode) ([]byte, Status) {
 	if len(line) != LineSize {
 		panic(fmt.Sprintf("ecc: DecodeLine on %d bytes, want %d", len(line), LineSize))
 	}
-	out := make([]byte, LineSize)
-	copy(out, line)
+	var out []byte // the corrected copy, made on the first correction
 	worst := OK
 	for w := 0; w < WordsPerLine; w++ {
-		word := binary.LittleEndian.Uint64(out[w*8 : w*8+8])
+		word := binary.LittleEndian.Uint64(line[w*8 : w*8+8])
 		fixed, st := Decode(word, stored[w])
 		if st == CorrectedData {
+			if out == nil {
+				out = append([]byte(nil), line...)
+			}
 			binary.LittleEndian.PutUint64(out[w*8:w*8+8], fixed)
 		}
 		if st > worst {
 			worst = st
 		}
+	}
+	if out == nil {
+		return line, worst
 	}
 	return out, worst
 }

@@ -217,3 +217,33 @@ func TestKeyOffsetsLineIndex(t *testing.T) {
 		}
 	}
 }
+
+// TestDecodeLineCopiesOnlyOnCorrection pins the allocation contract the
+// memory controller's read path relies on: a line needing no data
+// correction comes back as the input slice itself, a corrected one as a
+// fresh copy, and the input is never modified.
+func TestDecodeLineCopiesOnlyOnCorrection(t *testing.T) {
+	r := sim.NewRNG(5)
+	line := randLine(r)
+	code := EncodeLine(line)
+	out, st := DecodeLine(line, code)
+	if st != OK || &out[0] != &line[0] {
+		t.Fatalf("clean decode: status %v, copied=%v", st, &out[0] != &line[0])
+	}
+	// A flipped check bit leaves every data word intact: no copy.
+	bad := code
+	bad[3] ^= 0x04
+	if out, st = DecodeLine(line, bad); st != CorrectedCheck || &out[0] != &line[0] {
+		t.Fatalf("check-bit decode: status %v, copied=%v", st, &out[0] != &line[0])
+	}
+	corrupted := append([]byte(nil), line...)
+	corrupted[9] ^= 0x20
+	before := append([]byte(nil), corrupted...)
+	out, st = DecodeLine(corrupted, code)
+	if st != CorrectedData || &out[0] == &corrupted[0] {
+		t.Fatalf("data decode: status %v, copied=%v", st, &out[0] != &corrupted[0])
+	}
+	if !bytes.Equal(out, line) || !bytes.Equal(corrupted, before) {
+		t.Fatal("correction wrong or input modified")
+	}
+}

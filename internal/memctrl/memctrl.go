@@ -6,6 +6,8 @@
 package memctrl
 
 import (
+	"bytes"
+
 	"repro/internal/cache"
 	"repro/internal/dram"
 	"repro/internal/ecc"
@@ -21,7 +23,7 @@ type Stats struct {
 	PFDRAMReads      uint64 // serviced by the local DRAM
 	PFCoalesced      uint64 // PageForge fetches folded into an in-flight read
 	DemandCoalesced  uint64 // demand reads folded into an in-flight read
-	ECCEncodes       uint64 // lines encoded (writes + network-serviced fetches)
+	ECCEncodes       uint64 // modeled line encodes (writes + network-serviced fetches)
 	ECCDecodes       uint64 // lines decoded (DRAM reads)
 	ECCCorrected     uint64
 	ECCUncorrectable uint64
@@ -72,7 +74,10 @@ type Controller struct {
 	Faults FaultModel
 
 	Stats   Stats
-	pending map[uint64]pendingRead // line addr -> in-flight read
+	pending pendingTable // line addr -> in-flight read
+	// raw receives a DIMM read for the fault model to corrupt; reused
+	// across reads so a fault-free line costs no allocation.
+	raw [ecc.LineSize]byte
 }
 
 // New wires a controller over a DRAM model and backing store.
@@ -82,7 +87,6 @@ func New(d *dram.DRAM, phys *mem.Phys, hier *cache.Hierarchy) *Controller {
 		Phys:           phys,
 		Hier:           hier,
 		NetworkLatency: 40, // bus + L3 tag + transfer on the 512b bus
-		pending:        make(map[uint64]pendingRead),
 	}
 }
 
@@ -101,7 +105,7 @@ func (c *Controller) DemandAccess(addr uint64, now uint64, write bool, src dram.
 		// The write supersedes any in-flight read for this line: a later
 		// read must not coalesce into the pre-write read's completion
 		// window and observe stale data timing.
-		delete(c.pending, lineAddr)
+		c.pending.delete(lineAddr)
 		if c.Faults != nil {
 			// A write re-encodes the line: accumulated soft errors in the
 			// array are overwritten along with the data.
@@ -110,7 +114,7 @@ func (c *Controller) DemandAccess(addr uint64, now uint64, write bool, src dram.
 		return c.DRAM.Access(lineAddr, now, true, src)
 	}
 	c.Stats.DemandReads++
-	if p, ok := c.pending[lineAddr]; ok && p.done > now {
+	if p, ok := c.pending.get(lineAddr); ok && p.done > now {
 		c.Stats.DemandCoalesced++
 		return p.done - now
 	}
@@ -122,17 +126,32 @@ func (c *Controller) DemandAccess(addr uint64, now uint64, write bool, src dram.
 
 // FetchResult describes a PageForge line fetch.
 type FetchResult struct {
-	Data    []byte
-	Code    ecc.LineCode
+	Data []byte
+	// Clean is the line as stored in the array, before fault injection and
+	// correction (nil when Poisoned); Code() is the ECC code stored with it.
+	Clean   *[ecc.LineSize]byte
 	Latency uint64
 	// FromNetwork reports whether a cache supplied the line; the ECC code
 	// was then produced by the controller's encoder rather than the DIMM.
 	FromNetwork bool
 	// Poisoned reports an uncorrectable ECC error: Data is the raw
-	// corrupted read, Code is zeroed, and neither may be consumed — not
+	// corrupted read, Code() is zero, and neither may be consumed — not
 	// for comparison verdicts and not for hash minikeys. The requester
 	// must retry, fall back to software, or quarantine.
 	Poisoned bool
+}
+
+// Code reports the line's ECC code: the clean stored code, so minikeys
+// derive from the line's true content even when the decoder corrected
+// (or miscorrected) a fault, and zero when the read was poisoned. It is
+// computed on demand — the model counts the encode in Stats.ECCEncodes or
+// Stats.ECCDecodes when the fetch happens, and the host pays for it only
+// when a consumer (the hash-key assembler) asks.
+func (r FetchResult) Code() ecc.LineCode {
+	if r.Poisoned {
+		return ecc.LineCode{}
+	}
+	return ecc.EncodeLine(r.Clean[:])
 }
 
 // FetchLine services a PageForge request for one line of a physical frame
@@ -149,10 +168,10 @@ func (c *Controller) FetchLine(pfn mem.PFN, lineIdx int, now uint64, src dram.So
 		// controller and the ECC engine generates the code on the fly.
 		c.Stats.PFNetworkHits++
 		c.Stats.ECCEncodes++
-		return FetchResult{Data: data, Code: ecc.EncodeLine(data), Latency: c.NetworkLatency, FromNetwork: true}
+		return FetchResult{Data: data, Clean: (*[ecc.LineSize]byte)(data), Latency: c.NetworkLatency, FromNetwork: true}
 	}
 
-	if p, ok := c.pending[addr]; ok && p.done > now {
+	if p, ok := c.pending.get(addr); ok && p.done > now {
 		// Another request for this line is already in flight: coalesce.
 		c.Stats.PFCoalesced++
 		res := c.readDIMM(addr, now, data)
@@ -175,38 +194,44 @@ func (c *Controller) FetchLine(pfn mem.PFN, lineIdx int, now uint64, src dram.So
 // cells), the fault model corrupts the wire/array data, and the decode
 // engine corrects what it can. An uncorrectable error yields a Poisoned
 // result carrying the raw corrupted data and a zero code; a corrected
-// error yields the repaired data with the (clean) stored code, so
-// minikeys always derive from post-correction content.
+// error yields the repaired data with the clean stored code, so minikeys
+// always derive from the line's true content. Without a fault model, or
+// when it leaves the line untouched, the decode is a no-op and the result
+// is the clean line itself; only a corrected or poisoned read copies.
 func (c *Controller) readDIMM(addr, now uint64, data []byte) FetchResult {
-	code := ecc.EncodeLine(data)
+	clean := FetchResult{Data: data, Clean: (*[ecc.LineSize]byte)(data)}
 	if c.Faults == nil {
-		return FetchResult{Data: data, Code: code}
+		return clean
 	}
-	raw := make([]byte, len(data))
+	raw := c.raw[:]
 	copy(raw, data)
 	c.Faults.Corrupt(addr, now, raw)
-	decoded, st := ecc.DecodeLine(raw, code)
+	if bytes.Equal(raw, data) {
+		return clean
+	}
+	decoded, st := ecc.DecodeLine(raw, ecc.EncodeLine(data))
 	switch st {
 	case ecc.OK:
-		return FetchResult{Data: data, Code: code}
+		return clean
 	case ecc.CorrectedData, ecc.CorrectedCheck:
 		c.Stats.ECCCorrected++
-		return FetchResult{Data: decoded, Code: code}
+		if &decoded[0] == &raw[0] {
+			// No data word changed (the decoder blamed a check bit), so
+			// DecodeLine handed back the scratch buffer itself.
+			decoded = bytes.Clone(raw)
+		}
+		return FetchResult{Data: decoded, Clean: clean.Clean}
 	default:
 		c.Stats.ECCUncorrectable++
-		return FetchResult{Data: raw, Poisoned: true}
+		return FetchResult{Data: bytes.Clone(raw), Poisoned: true}
 	}
 }
 
-// trackPending records an in-flight read and prunes already-completed
-// entries so the map stays small.
+// trackPending records an in-flight read, first pruning completed entries
+// once the table holds more than pruneThreshold so it stays small.
 func (c *Controller) trackPending(addr, now, done uint64, src dram.Source) {
-	if len(c.pending) > 4096 {
-		for a, p := range c.pending {
-			if p.done <= now {
-				delete(c.pending, a)
-			}
-		}
+	if c.pending.len() > pruneThreshold {
+		c.pending.prune(now)
 	}
-	c.pending[addr] = pendingRead{done: done, src: src}
+	c.pending.set(addr, pendingRead{done: done, src: src})
 }

@@ -2,6 +2,7 @@ package memctrl
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"repro/internal/cache"
@@ -47,7 +48,7 @@ func TestFetchLineFromDRAM(t *testing.T) {
 	if !bytes.Equal(res.Data, phys.ReadLine(pfn, 3)) {
 		t.Fatal("wrong line data")
 	}
-	if res.Code != ecc.EncodeLine(res.Data) {
+	if res.Code() != ecc.EncodeLine(res.Data) {
 		t.Fatal("ECC code mismatch")
 	}
 	if res.Latency == 0 {
@@ -77,7 +78,7 @@ func TestFetchLineFromNetwork(t *testing.T) {
 		t.Fatal("network hit not counted")
 	}
 	// The controller's encoder produced the code.
-	if res.Code != ecc.EncodeLine(res.Data) {
+	if res.Code() != ecc.EncodeLine(res.Data) {
 		t.Fatal("encoder code mismatch")
 	}
 	if c.DRAM.TotalBytes(dram.SrcPageForge) != 0 {
@@ -135,7 +136,7 @@ func TestDemandCoalescesWithDemand(t *testing.T) {
 	if 110+second != 100+first {
 		t.Fatal("coalesced demand completion mismatch")
 	}
-	if p := c.pending[addr]; p.src != dram.SrcCore {
+	if p, _ := c.pending.get(addr); p.src != dram.SrcCore {
 		t.Fatalf("pending entry tagged %v, want demand source", p.src)
 	}
 }
@@ -160,7 +161,7 @@ func TestDemandWriteInvalidatesPending(t *testing.T) {
 	addr := uint64(pfn.LineAddr(0))
 	c.DemandAccess(addr, 100, false, dram.SrcCore) // read in flight
 	c.DemandAccess(addr, 110, true, dram.SrcCore)  // write to the same line
-	if _, ok := c.pending[addr]; ok {
+	if _, ok := c.pending.get(addr); ok {
 		t.Fatal("write left the pending read entry alive")
 	}
 	// A later read must be a fresh DRAM access, not a fold into the
@@ -199,7 +200,7 @@ func TestFaultInjectionPath(t *testing.T) {
 	if !bytes.Equal(res.Data, phys.ReadLine(pfn, 0)) {
 		t.Fatal("corrected fetch returned corrupted data")
 	}
-	if res.Code != ecc.EncodeLine(phys.ReadLine(pfn, 0)) {
+	if res.Code() != ecc.EncodeLine(phys.ReadLine(pfn, 0)) {
 		t.Fatal("corrected fetch returned a dirty code")
 	}
 	// Double-bit flip in one word: detected, uncorrectable, poisoned, and
@@ -212,7 +213,7 @@ func TestFaultInjectionPath(t *testing.T) {
 	if !res.Poisoned {
 		t.Fatal("uncorrectable fetch not poisoned")
 	}
-	if res.Code != (ecc.LineCode{}) {
+	if res.Code() != (ecc.LineCode{}) {
 		t.Fatal("poisoned fetch leaked an ECC code")
 	}
 }
@@ -249,7 +250,99 @@ func TestPendingMapPruning(t *testing.T) {
 		c.FetchLine(pfn, li, now, dram.SrcPageForge)
 		now += 1_000_000
 	}
-	if len(c.pending) > 4200 {
-		t.Fatalf("pending map grew to %d entries", len(c.pending))
+	if c.pending.len() > 4200 {
+		t.Fatalf("pending table grew to %d entries", c.pending.len())
 	}
+}
+
+// TestCodeIsCleanStoredCode pins the lazy-code contract on every fetch
+// path: Code() is ecc.EncodeLine of the clean stored line for a network
+// hit, a DRAM read and a coalesced read.
+func TestCodeIsCleanStoredCode(t *testing.T) {
+	c, phys, hier := newCtrl(4, true)
+	pfn := fillFrame(phys)
+	hier.Access(0, uint64(pfn.LineAddr(2)), false, cache.SrcApp)
+	net := c.FetchLine(pfn, 2, 0, dram.SrcPageForge)
+	first := c.FetchLine(pfn, 3, 100, dram.SrcPageForge)
+	coal := c.FetchLine(pfn, 3, 101, dram.SrcPageForge)
+	if !net.FromNetwork || c.Stats.PFDRAMReads != 1 || c.Stats.PFCoalesced != 1 {
+		t.Fatalf("paths not exercised: %+v", c.Stats)
+	}
+	for name, tc := range map[string]struct {
+		res FetchResult
+		li  int
+	}{"network": {net, 2}, "dram": {first, 3}, "coalesced": {coal, 3}} {
+		if tc.res.Code() != ecc.EncodeLine(phys.ReadLine(pfn, tc.li)) {
+			t.Errorf("%s: Code() is not the clean line's code", name)
+		}
+	}
+}
+
+// TestCodeSurvivesMiscorrection covers the fault paths: a corrected read
+// and 3-bit patterns the decoder miscorrects — "repairing" a fourth data
+// bit, or blaming a check bit and passing the corrupted word through — all
+// report the clean stored code, never Encode of the returned data; a
+// poisoned read reports zero.
+func TestCodeSurvivesMiscorrection(t *testing.T) {
+	c, phys, _ := newCtrl(4, false)
+	pfn := fillFrame(phys)
+	clean := ecc.EncodeLine(phys.ReadLine(pfn, 0))
+	flipAll := func(bits [3]int) func([]byte) {
+		return func(l []byte) {
+			for _, b := range bits {
+				l[b/8] ^= 1 << (b % 8)
+			}
+		}
+	}
+	cases := []struct {
+		name     string
+		corrupt  func(line []byte)
+		poisoned bool
+	}{
+		{"corrected", func(l []byte) { l[5] ^= 0x10 }, false},
+		{"miscorrected-data", flipAll(miscorrectingTriple(t, phys.ReadLine(pfn, 0), ecc.CorrectedData)), false},
+		{"miscorrected-check", flipAll(miscorrectingTriple(t, phys.ReadLine(pfn, 0), ecc.CorrectedCheck)), false},
+		{"poisoned", func(l []byte) { l[0] ^= 0x03 }, true},
+	}
+	for i, tc := range cases {
+		c.Faults = FaultFunc(func(addr uint64, line []byte) { tc.corrupt(line) })
+		res := c.FetchLine(pfn, 0, uint64(i)*1_000_000, dram.SrcPageForge)
+		if res.Poisoned != tc.poisoned {
+			t.Fatalf("%s: poisoned=%v", tc.name, res.Poisoned)
+		}
+		want := clean
+		if tc.poisoned {
+			want = ecc.LineCode{}
+		}
+		if res.Code() != want {
+			t.Errorf("%s: Code() = %x, want %x", tc.name, res.Code(), want)
+		}
+		if tc.name == "miscorrected-check" && ecc.EncodeLine(res.Data) == clean {
+			t.Errorf("%s: returned data encodes to the clean code; the case cannot tell the two apart", tc.name)
+		}
+	}
+	if c.Stats.ECCCorrected != 3 || c.Stats.ECCUncorrectable != 1 {
+		t.Fatalf("stats %+v", c.Stats)
+	}
+}
+
+// miscorrectingTriple finds three bit positions in word 0 of line whose
+// flip the SECDED decoder misreports with status want, returning data
+// other than the original word.
+func miscorrectingTriple(t *testing.T, line []byte, want ecc.Status) [3]int {
+	t.Helper()
+	word := binary.LittleEndian.Uint64(line)
+	code := ecc.Encode(word)
+	for a := 0; a < 64; a++ {
+		for b := a + 1; b < 64; b++ {
+			for d := b + 1; d < 64; d++ {
+				bad := word ^ 1<<a ^ 1<<b ^ 1<<d
+				if fixed, st := ecc.Decode(bad, code); st == want && fixed != word {
+					return [3]int{a, b, d}
+				}
+			}
+		}
+	}
+	t.Fatalf("no 3-bit pattern in word 0 decodes as %v", want)
+	return [3]int{}
 }

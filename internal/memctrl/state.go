@@ -1,14 +1,10 @@
 package memctrl
 
-import (
-	"sort"
-
-	"repro/internal/dram"
-)
+import "repro/internal/dram"
 
 // Checkpoint support. The controller's only mutable state beyond the stats
-// is the in-flight read map, serialized as a sorted slice (maps have no
-// stable order); coalescing decisions after a restore then see exactly the
+// is the in-flight read table, serialized as a slice sorted by address (the
+// table has no stable order); coalescing decisions after a restore then see exactly the
 // completion windows the uninterrupted run would have seen.
 
 // PendingState is one serialized in-flight read.
@@ -26,20 +22,15 @@ type ControllerState struct {
 
 // State captures the controller.
 func (c *Controller) State() ControllerState {
-	st := ControllerState{Stats: c.Stats}
-	for addr, p := range c.pending {
-		st.Pending = append(st.Pending, PendingState{Addr: addr, Done: p.done, Src: p.src})
-	}
-	sort.Slice(st.Pending, func(i, j int) bool { return st.Pending[i].Addr < st.Pending[j].Addr })
-	return st
+	return ControllerState{Stats: c.Stats, Pending: c.pending.state()}
 }
 
 // SetState restores the controller in place.
 func (c *Controller) SetState(st ControllerState) {
 	c.Stats = st.Stats
-	c.pending = make(map[uint64]pendingRead, len(st.Pending))
+	c.pending.reset()
 	for _, p := range st.Pending {
-		c.pending[p.Addr] = pendingRead{done: p.Done, src: p.Src}
+		c.pending.set(p.Addr, pendingRead{done: p.Done, src: p.Src})
 	}
 }
 

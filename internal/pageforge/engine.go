@@ -199,7 +199,7 @@ func (e *Engine) Trigger(now uint64) {
 				e.FaultAborts++
 				break
 			}
-			e.keyAsm.Observe(li, res.Code)
+			e.keyAsm.Observe(li, res.Code())
 		}
 	}
 	if !p.Fault && e.keyAsm.Ready() && !p.HashReady {
@@ -257,7 +257,8 @@ func (e *Engine) fetchLine(pfn mem.PFN, li int, start uint64) (memctrl.FetchResu
 
 // comparePages compares the candidate with one table page line-by-line in
 // lockstep, advancing the hardware clock with each fetched pair, snatching
-// candidate-line ECC codes for the background hash key, and stopping at
+// the candidate's sampled-line ECC codes for the background hash key (the
+// only codes the key consumes, so the only ones computed), and stopping at
 // the first divergent line. faulted reports that a line of either page
 // stayed poisoned through the retry budget; the comparison verdict is
 // then meaningless and the caller must abort the batch. Poisoned codes
@@ -273,8 +274,8 @@ func (e *Engine) comparePages(cand, other mem.PFN, clock *uint64) (cmp int, faul
 			done = doneB
 		}
 		*clock = done + CompareCycles
-		if !resA.Poisoned {
-			e.keyAsm.Observe(li, resA.Code)
+		if !resA.Poisoned && e.keyAsm.Wants(li) {
+			e.keyAsm.Observe(li, resA.Code())
 		}
 		if resA.Poisoned || resB.Poisoned {
 			return 0, true

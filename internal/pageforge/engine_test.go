@@ -417,3 +417,80 @@ func TestRandomTreeSearchMatchesSoftware(t *testing.T) {
 		}
 	}
 }
+
+// sampledOnlyFetcher records every line fetch and withholds the clean line
+// (Clean = nil) from every result outside the hash-key sample, so the
+// engine asking for any other line's ECC code panics.
+type sampledOnlyFetcher struct {
+	mc      *memctrl.Controller
+	fetched [mem.LinesPerPage]int
+}
+
+func (f *sampledOnlyFetcher) FetchLine(pfn mem.PFN, li int, now uint64, src dram.Source) memctrl.FetchResult {
+	res := f.mc.FetchLine(pfn, li, now, src)
+	f.fetched[li]++
+	sampled := false
+	for s := 0; s < ecc.Sections; s++ {
+		sampled = sampled || ecc.DefaultKeyOffsets.LineIndex(s) == li
+	}
+	if !sampled {
+		res.Clean = nil
+	}
+	return res
+}
+
+// TestEngineEncodesOnlySampledLines checks the engine computes ECC codes
+// only for the lines the page key consumes, yet assembles the same key as
+// the software reference ecc.PageKey — whether the key completes during
+// the comparisons or through the Last-Refill forced fetch.
+func TestEngineEncodesOnlySampledLines(t *testing.T) {
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("engine requested the ECC code of an unsampled line: %v", r)
+		}
+	}()
+	rng := sim.NewRNG(11)
+	for trial := 0; trial < 40; trial++ {
+		phys := mem.New(8 * mem.PageSize)
+		f := &sampledOnlyFetcher{mc: memctrl.New(dram.New(dram.DefaultConfig()), phys, nil)}
+		eng := NewEngine(f)
+		alloc := func() mem.PFN {
+			pfn, err := phys.Alloc()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return pfn
+		}
+		cand := alloc()
+		rng.FillBytes(phys.Page(cand))
+		// A chain of table pages that copy the candidate and diverge at a
+		// random line (or not at all), so compares stop at every depth.
+		n := 1 + rng.Intn(4)
+		for i := 0; i < n; i++ {
+			p := alloc()
+			copy(phys.Page(p), phys.Page(cand))
+			if rng.Intn(4) > 0 {
+				phys.Page(p)[rng.Intn(mem.PageSize)] ^= 0x80
+			}
+			next := i + 1
+			if next == n {
+				next = InvalidIndex
+			}
+			eng.InsertPPN(i, p, next, next)
+		}
+		eng.InsertPFE(cand, true, 0)
+		eng.Trigger(0)
+		info := eng.GetPFEInfo(eng.DoneAt())
+		if !info.HashReady {
+			t.Fatalf("trial %d: Last Refill batch left the key incomplete", trial)
+		}
+		if want := ecc.PageKey(phys.Page(cand), ecc.DefaultKeyOffsets); info.Hash != want {
+			t.Fatalf("trial %d: key %#x, reference %#x", trial, info.Hash, want)
+		}
+		for s := 0; s < ecc.Sections; s++ {
+			if li := ecc.DefaultKeyOffsets.LineIndex(s); f.fetched[li] == 0 {
+				t.Fatalf("trial %d: sampled line %d never fetched", trial, li)
+			}
+		}
+	}
+}
